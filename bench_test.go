@@ -98,7 +98,8 @@ func BenchmarkEnginePipeline(b *testing.B) { benchEngine(b, "EnginePipeline") }
 func BenchmarkEngineChunkSize(b *testing.B) { benchEngine(b, "EngineChunkSize") }
 
 // BenchmarkEngineSplice is the kernel-relay ablation: the same loopback
-// pipeline with the splice() pass-through off and on.
+// pipeline with the kernel tee relay hidden (off) and in its default
+// state (on).
 func BenchmarkEngineSplice(b *testing.B) { benchEngine(b, "EngineSplice") }
 
 // BenchmarkEngineUDP measures the batched datagram fan-out over real

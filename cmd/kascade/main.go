@@ -62,22 +62,21 @@ func agentMain(args []string) {
 
 // rootOptions gathers the sender-side command line.
 type rootOptions struct {
-	nodes    []string // agent control addresses
-	local    int      // >0: self-contained demo with N in-process nodes
-	input    string   // "-" = stdin
-	outPath  string
-	outCmd   string
+	nodes     []string // agent control addresses
+	local     int      // >0: self-contained demo with N in-process nodes
+	input     string   // "-" = stdin
+	outPath   string
+	outCmd    string
 	chunkKiB  int
 	window    int
 	class     string
 	transport string // data plane: "tcp" (relay pipeline) or "udp" (fan-out)
 	topology  string // dissemination shape: "chain" or "tree:<k>"
-	splice    bool   // kernel pass-through on pure-relay nodes
 	rerank    bool   // Snow-style mid-broadcast tree re-ranking
-	noSort   bool
-	listen   string
-	timeout  time.Duration
-	quiet    bool
+	noSort    bool
+	listen    string
+	timeout   time.Duration
+	quiet     bool
 }
 
 func rootMain(args []string) {
@@ -93,7 +92,6 @@ func rootMain(args []string) {
 	fs.StringVar(&o.class, "class", core.ClassBulk, "priority class on shared agents (bulk|interactive; drives admission order and scheduler weight)")
 	fs.StringVar(&o.transport, "transport", core.TransportTCP, "data plane: tcp (chunked relay pipeline) or udp (batched datagram fan-out; needs a file input)")
 	fs.StringVar(&o.topology, "topology", core.TopologyChain, "dissemination shape: chain (the paper's pipeline) or tree:<k> (k-ary tree; every relay feeds k children)")
-	fs.BoolVar(&o.splice, "splice", true, "kernel splice() pass-through on pure-relay nodes (Linux + TCP; falls back transparently elsewhere)")
 	fs.BoolVar(&o.rerank, "rerank", false, "self-reorganizing tree: re-rank the dissemination tree mid-broadcast by measured link rates (requires -topology tree:<k>)")
 	fs.BoolVar(&o.noSort, "no-sort", false, "keep -N order instead of sorting by host number")
 	fs.StringVar(&o.listen, "listen", "127.0.0.1:0", "sender data address to bind")
@@ -128,7 +126,6 @@ func (o rootOptions) protocolOptions() core.Options {
 		ChunkSize:         o.chunkKiB << 10,
 		WindowChunks:      o.window,
 		Class:             o.class,
-		Splice:            o.splice,
 		Rerank:            o.rerank,
 		WriteStallTimeout: o.timeout,
 	}

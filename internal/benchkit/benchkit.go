@@ -61,12 +61,14 @@ type Spec struct {
 	// core.TopologyTree(k) = k-ary tree, core.TopologyScatterAllgather =
 	// the van de Geijn composite, dispatched to internal/mpibcast).
 	Topology string
-	// Splice enables the kernel pass-through fast path on relay nodes; it
-	// only engages over real sockets, so splice specs set Loopback too.
-	Splice bool
 	// Loopback runs over real 127.0.0.1 sockets instead of the in-memory
-	// fabric (required for the splice and sendmmsg kernel paths to bite).
+	// fabric (required for the kernel tee relay and sendmmsg paths to
+	// bite).
 	Loopback bool
+	// Pooled hides the kernel relay capability (transport.Splicer) from
+	// every connection, pinning chain relays to the pooled path: the
+	// baseline half of the EngineSplice ablation.
+	Pooled bool
 	// LinkRate rate-shapes every fabric link to this many bytes per
 	// second (0 = unshaped; fabric runs only).
 	LinkRate float64
@@ -89,7 +91,7 @@ type Spec struct {
 const EngineBenchSize = 16 << 20
 
 // EngineBenchmarks returns the benchmark matrix: pipeline-length sweep at
-// a fixed chunk, a chunk-size sweep at a fixed depth, the splice() relay
+// a fixed chunk, a chunk-size sweep at a fixed depth, the kernel tee relay
 // ablation over real loopback sockets, and the batched UDP fan-out.
 func EngineBenchmarks() []Spec {
 	var specs []Spec
@@ -105,12 +107,12 @@ func EngineBenchmarks() []Spec {
 			Nodes: 5, Chunk: chunk, Size: EngineBenchSize,
 		})
 	}
-	// Kernel-relay ablation: the same loopback pipeline with the splice()
-	// pass-through off and on — the on/off delta is the copy cost the
-	// relay's user space no longer pays. The chain is deep (6 relays) and
-	// the chunks large so relay copies, not endpoint work, bound the
-	// pipeline: that is the regime the fast path exists for, and on a
-	// CPU-bound builder the delta is large (+69% on the 1-core CI class).
+	// Kernel-relay ablation: the same loopback pipeline with the tee relay
+	// hidden (off: every relay copies each chunk in and out of user space)
+	// and in its default state (on: one user-space copy per hop). The
+	// chain is deep (6 relays) and the chunks large so relay copies, not
+	// endpoint work, bound the pipeline: the regime the kernel relay
+	// exists for.
 	for _, on := range []bool{false, true} {
 		state := "off"
 		if on {
@@ -119,7 +121,7 @@ func EngineBenchmarks() []Spec {
 		specs = append(specs, Spec{
 			Name:  fmt.Sprintf("EngineSplice/splice=%s", state),
 			Nodes: 8, Chunk: 1 << 20, Size: EngineBenchSize,
-			Splice: on, Loopback: true,
+			Loopback: true, Pooled: !on,
 		})
 	}
 	// Batched datagram fan-out over real loopback UDP (sendmmsg/recvmmsg
@@ -171,11 +173,10 @@ func EngineBenchmarks() []Spec {
 }
 
 // Broadcast runs one benchmark iteration of the spec: fresh listeners,
-// nodes and pipes, honouring the spec's transport, splice and loopback
+// nodes and pipes, honouring the spec's transport, relay and loopback
 // dimensions, with every sink discarded.
 func (spec Spec) Broadcast() (*core.SessionResult, error) {
 	opts := EngineOptions(spec.Chunk)
-	opts.Splice = spec.Splice
 	if spec.Rerank {
 		opts.Rerank = true
 		// Bench-speed cadence: at these link rates the 16 MiB transfer
@@ -209,6 +210,9 @@ func (spec Spec) Broadcast() (*core.SessionResult, error) {
 			peers[i] = core.Peer{Name: fmt.Sprintf("n%d", i+1), Addr: "127.0.0.1:0"}
 		}
 		cfg.NetworkFor = func(int) transport.Network { return transport.TCP{} }
+		if spec.Pooled {
+			cfg.NetworkFor = func(int) transport.Network { return pooledNet{transport.TCP{}} }
+		}
 	} else {
 		fabric = transport.NewFabric(1 << 20)
 		for i := range peers {
@@ -309,6 +313,9 @@ func (spec Spec) broadcastScatterAllgather(payload []byte) (*core.SessionResult,
 			addrs[i] = "127.0.0.1:0"
 		}
 		cfg.NetworkFor = func(int) transport.Network { return transport.TCP{} }
+		if spec.Pooled {
+			cfg.NetworkFor = func(int) transport.Network { return pooledNet{transport.TCP{}} }
+		}
 	} else {
 		fabric := transport.NewFabric(1 << 20)
 		for i := range names {
@@ -476,4 +483,41 @@ func MuxBroadcastClasses(sessions, nodes int, size int64, chunk int, classFor fu
 // is one benchmark iteration: all listeners, nodes and pipes are fresh.
 func EngineBroadcast(nodes int, size int64, chunk int) (*core.SessionResult, error) {
 	return Spec{Nodes: nodes, Size: size, Chunk: chunk}.Broadcast()
+}
+
+// pooledNet wraps a network so its connections keep writev
+// (transport.BuffersWriter) but never offer the kernel relay
+// (transport.Splicer).
+type pooledNet struct{ transport.Network }
+
+func (p pooledNet) Dial(addr string, timeout time.Duration) (transport.Conn, error) {
+	c, err := p.Network.Dial(addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return pooledConn{c}, nil
+}
+
+func (p pooledNet) Listen(addr string) (transport.Listener, error) {
+	l, err := p.Network.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return pooledListener{l}, nil
+}
+
+type pooledListener struct{ transport.Listener }
+
+func (l pooledListener) Accept() (transport.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return pooledConn{c}, nil
+}
+
+type pooledConn struct{ transport.Conn }
+
+func (c pooledConn) WriteBuffers(bufs [][]byte) (int64, error) {
+	return transport.WriteBuffers(c.Conn, bufs)
 }

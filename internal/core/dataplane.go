@@ -44,10 +44,22 @@ func (n *Node) readInput() {
 // ingest stores and sinks one received chunk, consuming the caller's
 // reference. The payload is shared, never copied: the window store takes
 // one reference, and a second keeps the bytes alive for the sink write.
-func (n *Node) ingest(c *chunk) error {
+func (n *Node) ingest(c *chunk) error { return n.keep(c, false) }
+
+// ingestForwarded is ingest for a chunk the kernel tee relay already
+// delivered to the successor: the window retains it as consumed.
+func (n *Node) ingestForwarded(c *chunk) error { return n.keep(c, true) }
+
+func (n *Node) keep(c *chunk, forwarded bool) error {
 	size := uint64(len(c.bytes()))
 	c.retain() // keep the payload readable for the sink after Append
-	if err := n.ws.Append(c); err != nil {
+	var err error
+	if forwarded {
+		err = n.ws.AppendForwarded(c)
+	} else {
+		err = n.ws.Append(c)
+	}
+	if err != nil {
 		c.release()
 		return err
 	}
@@ -65,6 +77,10 @@ func (n *Node) ingest(c *chunk) error {
 		n.abandon(fmt.Sprintf("sink write failed: %v", sinkErr))
 		return ErrAbandoned
 	}
-	n.emit(TraceChunk, -1, n.bytesIn.Add(size), "")
+	detail := ""
+	if forwarded {
+		detail = "spliced"
+	}
+	n.emit(TraceChunk, -1, n.bytesIn.Add(size), detail)
 	return nil
 }

@@ -105,13 +105,14 @@ func (n *Node) serveSuccessor(ctx context.Context, succ int, cur *childCursor, q
 		return outcomeDead, nil
 	}
 	w := n.newWire(conn)
-	w.out = &stallWriter{
+	sw := &stallWriter{
 		conn:   conn,
 		now:    n.clk.Now,
 		stall:  n.opts.WriteStallTimeout,
 		budget: n.opts.FetchTimeout,
 		probe:  func() bool { return n.probe(peer.Addr) },
 	}
+	w.out = sw
 	defer w.close()
 
 	if werr := w.writeHelloFor(RoleData, n.cfg.Index, n.sid); werr != nil {
@@ -161,10 +162,12 @@ func (n *Node) serveSuccessor(ctx context.Context, succ int, cur *childCursor, q
 		}
 	}
 
-	// noSplice remembers a permanent splice decline for this connection
-	// (incapable transport, broken splice, stream over), so the steady
-	// pooled path pays no per-batch rendezvous.
-	noSplice := n.splice == nil
+	// noSplice remembers a permanent decline of the kernel relay for this
+	// connection (incapable transport, broken relay, stream over), so the
+	// steady pooled path pays no per-batch rendezvous. A connection that
+	// cannot take a kernel relay at all (the in-memory fabric) never offers.
+	_, splicer := conn.(transport.Splicer)
+	noSplice := n.splice == nil || !splicer
 
 streamLoop:
 	for {
@@ -181,11 +184,11 @@ streamLoop:
 				sentView = v.version
 			}
 		}
-		if !noSplice && off >= n.st.Head() {
-			// Fully caught up: offer the upstream receiver a kernel
-			// pass-through span instead of parking in ChunkAt. The offer
-			// resolves on the next inbound frame (or terminal condition).
-			moved, res, serr := n.offerSplice(ctx, off, conn)
+		if !noSplice && n.offerReady(off) {
+			// Caught up: offer the upstream receiver a kernel relay span
+			// instead of parking in ChunkAt. The offer resolves on the
+			// next inbound frame (or terminal condition).
+			moved, res, serr := n.offerSplice(ctx, off, w, sw)
 			if moved > 0 {
 				off += moved
 				cur.advance(off)
@@ -547,18 +550,54 @@ func (s *stallWriter) WriteBuffers(bufs [][]byte) (int64, error) {
 			continue
 		}
 		if transport.IsTimeout(err) {
-			if nn > 0 {
-				remaining = s.budget // progress resets patience
+			if derr := s.stalled(nn > 0, &remaining, err); derr != nil {
+				return total, derr
 			}
-			remaining -= s.stall
-			if remaining <= 0 {
-				return total, &peerDeadError{reason: fmt.Sprintf("write made no progress for %v", s.budget)}
-			}
-			if s.probe() {
-				continue
-			}
-			return total, &peerDeadError{reason: "write stalled and ping unanswered", cause: err}
+			continue
 		}
 		return total, err
 	}
+}
+
+// tee drives a kernel tee relay into the successor under the same rule as
+// WriteBuffers: a stalled relay triggers the ping probe, an answered ping
+// resumes it byte-exactly from what the kernel still holds, and an
+// unanswered one confirms death. It returns the bytes delivered, a
+// successor failure (down), or a failure on the relay's source side (up).
+func (s *stallWriter) tee(r transport.TeeRelay, p []byte) (n int, down, up error) {
+	remaining := s.budget
+	for {
+		_ = s.conn.SetWriteDeadline(s.now().Add(s.stall))
+		nn, err := r.Tee(p[n:])
+		n += nn
+		switch {
+		case err == nil:
+			return n, nil, nil
+		case !transport.IsTeeWriteError(err):
+			return n, nil, err
+		case !transport.IsTimeout(err):
+			return n, err, nil
+		}
+		if derr := s.stalled(nn > 0, &remaining, err); derr != nil {
+			return n, derr, nil
+		}
+	}
+}
+
+// stalled applies the failure detector to a write that hit its stall
+// deadline: progress restores the patience budget, an answered ping
+// resumes the write (nil), and an unanswered ping or exhausted patience
+// confirms the successor dead.
+func (s *stallWriter) stalled(progress bool, remaining *time.Duration, err error) error {
+	if progress {
+		*remaining = s.budget
+	}
+	*remaining -= s.stall
+	if *remaining <= 0 {
+		return &peerDeadError{reason: fmt.Sprintf("write made no progress for %v", s.budget)}
+	}
+	if s.probe() {
+		return nil
+	}
+	return &peerDeadError{reason: "write stalled and ping unanswered", cause: err}
 }

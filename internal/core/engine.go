@@ -356,8 +356,8 @@ type EngineStats struct {
 	ParkSessionOverflow uint64 `json:"park_session_overflow"`
 	ParkIPOverflow      uint64 `json:"park_ip_overflow"`
 
-	// SplicedBytes / SplicedChunks count payload moved through the kernel
-	// pass-through (splice) by this engine's relay sessions.
+	// SplicedBytes / SplicedChunks count payload this engine's chain
+	// relays forwarded through the kernel tee relay (splice + tee).
 	SplicedBytes  uint64 `json:"spliced_bytes"`
 	SplicedChunks uint64 `json:"spliced_chunks"`
 	// UDPBatchesSent / UDPBatchesRecv count datagram batches crossing the

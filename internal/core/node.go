@@ -110,11 +110,11 @@ type Node struct {
 	ictx   context.Context // internal lifecycle, detached from caller ctx
 	cancel context.CancelFunc
 
-	// splice is the kernel pass-through rendezvous gate (splice.go);
-	// nil on nodes that can never splice (sender, local sink, §V
-	// measurement, or Options.Splice off).
+	// splice is the kernel tee relay's rendezvous gate (splice.go); nil
+	// on nodes that never relay through the kernel (sender, tree relays,
+	// udp plane, §V measurement).
 	splice       *spliceGate
-	spliceBroken atomic.Bool // a mid-frame splice error poisons the fast path
+	spliceBroken atomic.Bool // an upstream error mid-frame poisons the fast path
 
 	upConns chan *upstreamConn
 
@@ -210,12 +210,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Index == 0 {
 		if cfg.InputFile == nil && cfg.Input == nil {
 			return nil, fmt.Errorf("kascade: sender has no input")
-		}
-		if cfg.Plan.Opts.Splice && cfg.InputFile == nil {
-			// A spliced relay retains nothing, so FORGET recovery must
-			// resolve against the sender's random-access store (§III-D2);
-			// a streamed source would turn every recovery into an abandon.
-			return nil, fmt.Errorf("kascade: splice requires a file-backed source at node 0")
 		}
 	} else if cfg.Input != nil || cfg.InputFile != nil {
 		return nil, fmt.Errorf("kascade: only the sender (index 0) takes input")
@@ -313,6 +307,9 @@ func (n *Node) prepare() error {
 	} else {
 		n.ws = newWindowStore(n.opts.ChunkSize, n.opts.WindowChunks, n.pool)
 		n.st = n.ws
+		if n.splice != nil {
+			n.ws.onBackPressure = n.splice.resolveTransient
+		}
 		if g := n.cfg.Join; g != nil {
 			// A late joiner's live window starts at the catch-up boundary:
 			// everything before it is backfilled from node 0 instead of

@@ -60,17 +60,6 @@ type Options struct {
 	// predecessor connection before giving the transfer up.
 	UpstreamIdleTimeout time.Duration
 
-	// Splice lets pure-relay nodes move chunk payloads from the upstream
-	// socket to the downstream socket inside the kernel (splice(2) via the
-	// runtime's TCP ReadFrom path) instead of staging them in pooled user-
-	// space buffers. It only ever engages on Linux, between real TCP
-	// connections, on nodes with no local consumer (no Sink) — everywhere
-	// else the pooled path runs unchanged, so the flag is safe to set
-	// unconditionally. Requires a file-backed source at node 0: a spliced
-	// relay retains nothing, so a recovering successor's FORGET resolves
-	// against the sender's file store instead of this node's window.
-	Splice bool `json:"Splice,omitempty"`
-
 	// DatagramBytes caps the payload carried by one UDP datagram on the
 	// "udp" transport (header excluded). Defaults to 1200 bytes, safely
 	// under the common 1500-byte path MTU. Only meaningful with
@@ -94,8 +83,9 @@ type Options struct {
 	// toward the root. Requires a "tree:<k>" topology. Where §V exclusion
 	// is binary (a slow node is cut), demotion is free: the slow node
 	// keeps receiving, it just stops throttling a subtree. Re-ranking
-	// sessions never splice (rate measurement needs user-space writes,
-	// and REORG frames interleave with DATA).
+	// runs on trees, whose relays stay on the pooled path (rate
+	// measurement needs user-space writes, and REORG frames interleave
+	// with DATA).
 	Rerank bool `json:"Rerank,omitempty"`
 	// RerankInterval is the cadence of the rate-report spokes receivers
 	// play against node 0 (default 500 ms).

@@ -39,7 +39,7 @@ func (n *Node) probe(addr string) bool {
 // whoever that is after failures.
 
 func (n *Node) upstreamLoop(ctx context.Context) error {
-	// However this loop ends, no frame will ever claim a splice offer
+	// However this loop ends, no frame will ever claim a relay offer
 	// again: shut the gate so a parked downstream sender falls back to the
 	// pooled path (and its store's terminal condition) instead of waiting.
 	defer n.closeSpliceGate()
@@ -164,9 +164,9 @@ func (n *Node) absorbReorgProof(repl *upstreamConn) uint64 {
 func (n *Node) serveUpstream(ctx context.Context, uc *upstreamConn) (*upstreamConn, error) {
 	w := uc.w
 	poll := n.opts.pollInterval()
-	// engaged is the splice span in progress: this goroutine owns the
-	// parked successor's connection and relays DATA frames through the
-	// kernel until a non-DATA frame or an error ends the span.
+	// engaged is the kernel relay span in progress: this goroutine owns
+	// the parked successor's connection and tees DATA frames to it until a
+	// non-DATA frame or an error ends the span.
 	var engaged *spliceOffer
 	finishEngaged := func() {
 		if engaged != nil {
@@ -202,7 +202,7 @@ func (n *Node) serveUpstream(ctx context.Context, uc *upstreamConn) (*upstreamCo
 		}
 		w.setReadDeadlineIn(n.opts.UpstreamIdleTimeout)
 		if typ != MsgData {
-			// Any non-DATA frame ends a splice span on its boundary: the
+			// Any non-DATA frame ends a relay span on its boundary: the
 			// last frame crossed whole, both streams are clean.
 			finishEngaged()
 		}
@@ -213,36 +213,39 @@ func (n *Node) serveUpstream(ctx context.Context, uc *upstreamConn) (*upstreamCo
 				return nil, nil
 			}
 			if engaged == nil && n.splice != nil {
-				if o := n.splice.take(); o != nil {
-					switch {
-					case n.spliceBroken.Load() || !transport.CanSplice(w.conn, o.conn):
-						o.resp <- spliceResult{noRetry: true}
-					case o.off != n.st.Head():
-						o.resp <- spliceResult{}
-					default:
-						engaged = o
-						o.resp <- spliceResult{engaged: true}
-					}
+				if o := n.splice.take(); o != nil && n.engage(o, w) {
+					engaged = o
 				}
 			}
 			if engaged != nil {
-				if serr := n.spliceFrame(w, engaged.conn, size); serr != nil {
-					// Mid-frame failure: both byte streams are corrupt.
-					// Poison the fast path, surface the error to the
-					// parked sender (it kills its connection), and drop
-					// ours; the reconnect machinery re-syncs both sides.
+				c, down, terr := n.teeFrame(w, engaged, size)
+				if terr != nil {
+					// The upstream connection broke mid-frame and the
+					// successor holds a torn frame too. Poison the fast
+					// path, surface the error to the parked sender (it
+					// kills its connection), and drop ours; the
+					// reconnect machinery re-syncs both sides.
 					n.spliceBroken.Store(true)
-					engaged.err = serr
+					engaged.err = terr
 					finishEngaged()
 					return nil, nil
 				}
-				if aerr := n.ws.AppendVirtual(uint64(size)); aerr != nil {
+				if down != nil {
+					// The successor failed, but the frame arrived whole:
+					// only the downstream connection is lost. The chunk
+					// is kept unconsumed for whoever takes over.
+					engaged.err = down
 					finishEngaged()
-					return nil, aerr
+					if err := n.ingest(c); err != nil {
+						return nil, err
+					}
+					continue
+				}
+				if err := n.ingestForwarded(c); err != nil {
+					return nil, err
 				}
 				engaged.moved += uint64(size)
 				n.countSpliced(uint64(size))
-				n.emit(TraceChunk, -1, n.bytesIn.Add(uint64(size)), "spliced")
 				continue
 			}
 			c, err := w.readDataInto(n.pool, size)
@@ -257,7 +260,7 @@ func (n *Node) serveUpstream(ctx context.Context, uc *upstreamConn) (*upstreamCo
 			if err != nil {
 				return nil, nil
 			}
-			// No DATA frame will follow: a parked (or future) splice
+			// No DATA frame will follow: a parked (or future) relay
 			// offer must fall back to the pooled path to observe EOF.
 			n.closeSpliceGate()
 			n.ws.Finish(total)

@@ -3,40 +3,51 @@ package core
 import (
 	"context"
 	"encoding/binary"
-	"io"
+	"fmt"
 	"sync"
+	"time"
 
 	"kascade/internal/transport"
 )
 
-// Kernel pass-through for pure relays (Options.Splice). A relay that keeps
-// no local copy of the stream — no sink, retention satisfied by node 0's
-// file store — does not need the payload in user space at all: frame
-// headers stay in user space, frame payloads move upstream-socket →
-// downstream-socket through the kernel (splice(2), reached via the
-// runtime's TCP ReadFrom path; see transport/splice_linux.go).
+// Kernel tee relay for chain relays. A relay's pooled path copies every
+// payload twice through user space: read(2) from the upstream socket into a
+// pool chunk, writev(2) from that chunk to the successor. The tee relay
+// moves the payload upstream-socket → pipe → successor-socket inside the
+// kernel (splice(2)) and duplicates it on the way (tee(2)) into a second
+// pipe that is read into the pool chunk — one user-space copy per hop, and
+// the chunk is still retained in the window and written to the sink
+// exactly as ingest does (transport/splice_linux.go has the kernel side).
 //
 // The handoff between the two per-connection goroutines is a rendezvous
 // gate owned by the node:
 //
-//   - The downstream sender, on finding itself fully caught up (its send
-//     offset == the store head), posts a spliceOffer carrying its offset
-//     and its connection, then parks until the offer resolves.
+//   - The downstream sender, on finding itself caught up (its send offset
+//     at the store head, or close behind it: offerReady), posts a
+//     spliceOffer carrying its offset and its successor wire, then parks
+//     until the offer resolves.
 //   - The upstream receiver, on the next DATA frame, claims the offer. If
-//     the connections cannot splice (in-memory fabric, non-TCP) it declines
-//     permanently — the sender never offers again on this connection; if
-//     the offsets mismatch it declines transiently; otherwise it engages:
-//     it owns the downstream connection and relays whole frames through the
-//     kernel until a non-DATA frame (or an error) ends the span, then
-//     closes the offer's done channel with the byte count moved.
+//     the connections cannot splice (in-memory fabric, wrapped or non-TCP
+//     connections, non-Linux builds) it declines permanently — the sender
+//     never offers again on this connection; otherwise it engages: it
+//     opens a tee relay (one pipe pair for the whole span), owns the
+//     downstream connection, sends the sender's backlog from the window,
+//     and relays whole frames until a non-DATA frame (or an error) ends the
+//     span, then closes the offer's done channel with the byte count
+//     delivered.
 //
 // Every frame crosses atomically: the span only ever ends on a frame
 // boundary, so both byte streams stay parseable and the pooled path resumes
-// seamlessly — recovery, replay and END handling are untouched. A mid-frame
-// splice error is the one exception: both streams are then corrupt mid-
-// frame, so both connections are killed and the node falls back to the
-// pooled path permanently (spliceBroken); the existing reconnect/FORGET/
-// PGET machinery re-synchronises both sides without data loss.
+// seamlessly — recovery, replay and END handling are untouched. Writes to
+// the successor follow the pooled path's failure detector (stallWriter): a
+// stall pings, an answered ping resumes byte-exactly from what the kernel
+// still holds, an unanswered one names the successor dead. A dead successor
+// only costs the downstream connection: the frame is completed from
+// upstream and retained unconsumed for whoever takes over. An upstream
+// error mid-frame is the one case that tears both streams, so both
+// connections are killed and the node stays on the pooled path from then on
+// (spliceBroken); the existing reconnect/FORGET/PGET machinery
+// re-synchronises both sides without data loss.
 
 // spliceResult is the gate's answer to one offer.
 type spliceResult struct {
@@ -47,21 +58,32 @@ type spliceResult struct {
 	noRetry bool
 }
 
-// spliceOffer is one parked downstream sender: its catch-up offset, the
-// connection to splice into, and the channels resolving its fate.
+// spliceOffer is one parked downstream sender: its send offset, its wire
+// to the successor and the stall-detecting writer under it, and the
+// channels resolving its fate.
 type spliceOffer struct {
 	off  uint64
-	conn transport.Conn
+	w    *wire
+	out  *stallWriter
 	resp chan spliceResult // buffered(1): claim or decline
 	done chan struct{}     // engaged only: closed when the span ends
 
+	// Owned by the engaging side for the span.
+	relay transport.TeeRelay
+	hdr   [dataFrameHeader]byte
+
 	// Written by the engaging side strictly before close(done).
-	moved uint64
-	err   error // non-nil: both connections died mid-frame
+	moved uint64 // bytes delivered to the successor during the span
+	err   error  // non-nil: the successor connection is lost
 }
 
-// finish ends an engaged span.
-func (o *spliceOffer) finish() { close(o.done) }
+// finish ends an engaged span and releases its kernel pipes.
+func (o *spliceOffer) finish() {
+	if o.relay != nil {
+		_ = o.relay.Close()
+	}
+	close(o.done)
+}
 
 // spliceGate is the node-level rendezvous point. It outlives individual
 // connections on both sides: a pending offer survives an upstream
@@ -147,15 +169,14 @@ func (g *spliceGate) resolveTransient() {
 }
 
 // spliceEligible decides at construction time whether this node may ever
-// relay through the kernel: an opted-in pure relay — not the sender, no
-// local consumer, and no §V drain-rate measurement (exclusion times
-// user-space writes, which a spliced span bypasses).
+// relay through the kernel: a chain relay — not the sender, not a tree
+// relay (k children would need a k-way tee), not on the udp plane (no relay
+// chain), and no §V drain-rate measurement (exclusion times the user-space
+// writes a kernel relay bypasses).
 func spliceEligible(cfg *NodeConfig, opts *Options) bool {
-	noSink := cfg.Sink == nil || cfg.Sink == io.Discard
 	k, kerr := TreeArity(cfg.Plan.Topology)
-	return opts.Splice && cfg.Index > 0 && noSink && opts.MinThroughput == 0 &&
-		cfg.Plan.Transport != TransportUDP && // no relay chain to splice on UDP
-		kerr == nil && k == 1 // a tree relay feeds k children from its window; it must retain
+	return cfg.Index > 0 && opts.MinThroughput == 0 &&
+		cfg.Plan.Transport != TransportUDP && kerr == nil && k == 1
 }
 
 // closeSpliceGate shuts the gate down, if the node has one.
@@ -165,71 +186,166 @@ func (n *Node) closeSpliceGate() {
 	}
 }
 
-// offerSplice posts an offer at off on conn and parks until it resolves.
-// It returns the bytes moved through the kernel (0 on a decline), the
-// resolution, and a connection-level error: a non-nil error means conn is
-// corrupt mid-frame and must be classified like any failed write.
-func (n *Node) offerSplice(ctx context.Context, off uint64, conn transport.Conn) (uint64, spliceResult, error) {
-	o := &spliceOffer{off: off, conn: conn, resp: make(chan spliceResult, 1), done: make(chan struct{})}
+// offerReady reports whether a downstream sender at off is close enough to
+// the store head to offer a span: at most one write batch (and half the
+// window) behind, a backlog the engaging side first sends from the window.
+func (n *Node) offerReady(off uint64) bool {
+	b := n.opts.MaxBatchBytes
+	if half := n.opts.WindowChunks * n.opts.ChunkSize / 2; b > half {
+		b = half
+	}
+	return off+uint64(b) >= n.st.Head()
+}
+
+// offerSplice posts an offer at off on the successor wire w (whose writer
+// is out) and parks until it resolves. A sender behind the store head
+// waits at most a poll interval for the claim and then drains its backlog
+// through the pooled path, so a quiet upstream does not hold it back; a
+// caught-up sender waits for the next inbound frame. It returns the bytes
+// delivered during the span (0 on a decline), the resolution, and a
+// connection-level error: a non-nil error means the successor connection
+// is lost and must be classified like any failed write.
+func (n *Node) offerSplice(ctx context.Context, off uint64, w *wire, out *stallWriter) (uint64, spliceResult, error) {
+	o := &spliceOffer{off: off, w: w, out: out, resp: make(chan spliceResult, 1), done: make(chan struct{})}
 	if ok, noRetry := n.splice.post(o); !ok {
 		return 0, spliceResult{noRetry: noRetry}, nil
 	}
+	// An upstream already parked on a full window would never reach the
+	// next frame to claim this offer: wake it, so its back-pressure hook
+	// declines the offer and this sender drains instead.
+	n.ws.wake()
+	var expired <-chan time.Time
+	if off < n.st.Head() {
+		t := n.clk.NewTimer(n.opts.pollInterval())
+		defer t.Stop()
+		expired = t.C()
+	}
+	var res spliceResult
 	select {
-	case res := <-o.resp:
-		if !res.engaged {
-			return 0, res, nil
-		}
-	case <-ctx.Done():
-		if n.splice.withdraw(o) {
-			return 0, spliceResult{}, nil // caller re-checks ctx
-		}
-		// A claim raced the withdrawal: the resolution is owed and, if
-		// engaged, the upstream side owns conn until the span ends.
-		if res := <-o.resp; !res.engaged {
-			return 0, res, nil
-		}
+	case res = <-o.resp:
+	case <-ctx.Done(): // the caller re-checks ctx
+		res = n.withdrawOffer(o)
+	case <-expired:
+		res = n.withdrawOffer(o)
+	}
+	if !res.engaged {
+		return 0, res, nil
 	}
 	<-o.done
-	return o.moved, spliceResult{engaged: true}, o.err
+	return o.moved, res, o.err
 }
 
-// spliceFrame relays one DATA frame of the given payload size from the
-// upstream wire to dst: the 5-byte header is written from user space, any
-// payload prefix already sitting in the read buffer is flushed, and the
-// remainder crosses through the kernel. The caller set the upstream read
-// deadline; the write deadline covers the whole frame — the pooled path's
-// stall-probe machinery cannot see into a kernel transfer, so a stuck
-// successor surfaces as a deadline error here and is classified by the
-// offerer like any failed write.
-func (n *Node) spliceFrame(w *wire, dst transport.Conn, size int) error {
-	var hdr [dataFrameHeader]byte
-	hdr[0] = byte(MsgData)
-	binary.BigEndian.PutUint32(hdr[1:], uint32(size))
-	_ = dst.SetWriteDeadline(n.clk.Now().Add(n.opts.FetchTimeout))
-	if _, err := dst.Write(hdr[:]); err != nil {
-		return err
+// withdrawOffer takes back a pending offer as a transient decline. If a
+// claim raced the withdrawal it returns the owed resolution instead; an
+// engaged one means the upstream side owns the connection until the span
+// ends.
+func (n *Node) withdrawOffer(o *spliceOffer) spliceResult {
+	if n.splice.withdraw(o) {
+		return spliceResult{}
 	}
-	remaining := size
-	for remaining > 0 && w.br.Buffered() > 0 {
-		k := w.br.Buffered()
-		if k > remaining {
-			k = remaining
+	return <-o.resp
+}
+
+// engage answers a claimed offer on the upstream connection w: it opens
+// the tee relay, brings a lagging successor up to the store head from the
+// window, and reports whether the span starts.
+func (n *Node) engage(o *spliceOffer, w *wire) bool {
+	head := n.st.Head()
+	switch {
+	case n.spliceBroken.Load() || !transport.CanSplice(w.conn, o.out.conn):
+		o.resp <- spliceResult{noRetry: true}
+		return false
+	case o.off > head:
+		o.resp <- spliceResult{}
+		return false
+	}
+	relay, err := o.out.conn.(transport.Splicer).TeeFrom(w.conn)
+	if err != nil {
+		o.resp <- spliceResult{noRetry: true}
+		return false
+	}
+	o.relay = relay
+	o.resp <- spliceResult{engaged: true}
+	if err := n.sendBacklog(o, head); err != nil {
+		o.err = err
+		o.finish()
+		return false
+	}
+	return true
+}
+
+// sendBacklog writes the window's chunks [o.off, head) to the successor of
+// an engaged offer, as the pooled path would have.
+func (n *Node) sendBacklog(o *spliceOffer, head uint64) error {
+	var batch []*chunk
+	for o.off+o.moved < head {
+		batch = batch[:0]
+		total := 0
+		for len(batch) < maxBatchChunks && o.off+o.moved+uint64(total) < head &&
+			(len(batch) == 0 || total+n.opts.ChunkSize <= n.opts.MaxBatchBytes) {
+			c, ok := n.st.TryChunkAt(o.off + o.moved + uint64(total))
+			if !ok {
+				break
+			}
+			batch = append(batch, c)
+			total += len(c.bytes())
 		}
-		p, err := w.br.Peek(k)
+		if len(batch) == 0 {
+			return fmt.Errorf("kascade: internal: backlog at %d not in the window", o.off+o.moved)
+		}
+		err := o.w.writeDataBatch(batch)
+		for _, c := range batch {
+			c.release()
+		}
 		if err != nil {
 			return err
 		}
-		if _, err := dst.Write(p); err != nil {
-			return err
-		}
-		if _, err := w.br.Discard(len(p)); err != nil {
-			return err
-		}
-		remaining -= len(p)
+		o.moved += uint64(total)
 	}
-	if remaining == 0 {
-		return nil
+	return nil
+}
+
+// teeFrame relays one DATA frame of the given payload size from the
+// upstream wire to the engaged successor and returns the payload in a pool
+// chunk (the caller owns the reference). The header and any payload prefix
+// already in the read buffer are written from user space; the rest moves
+// through the kernel relay, which fills the chunk on the way.
+//
+// A non-nil down means the successor failed: the frame was still read
+// whole from upstream, so c is complete and only the downstream connection
+// is lost. A non-nil err means the upstream connection broke mid-frame, and
+// c is nil.
+func (n *Node) teeFrame(w *wire, o *spliceOffer, size int) (c *chunk, down, err error) {
+	c = n.pool.get(size)
+	p := c.bytes()
+	k := w.br.Buffered()
+	if k > size {
+		k = size
 	}
-	_, err := dst.(transport.Splicer).SpliceFrom(w.conn, int64(remaining))
-	return err
+	if err := w.readFull(p[:k]); err != nil {
+		c.release()
+		return nil, nil, err
+	}
+	o.hdr[0] = byte(MsgData)
+	binary.BigEndian.PutUint32(o.hdr[1:], uint32(size))
+	iov := [2][]byte{o.hdr[:], p[:k]}
+	if _, down = o.out.WriteBuffers(iov[:]); down != nil {
+		if err := w.readFull(p[k:]); err != nil {
+			c.release()
+			return nil, nil, err
+		}
+		return c, down, nil
+	}
+	if k == size {
+		return c, nil, nil
+	}
+	m, down, err := o.out.tee(o.relay, p[k:])
+	if err == nil && down != nil {
+		err = o.relay.Salvage(p[k+m:])
+	}
+	if err != nil {
+		c.release()
+		return nil, nil, err
+	}
+	return c, down, nil
 }

@@ -143,6 +143,11 @@ type windowStore struct {
 	notify   func()
 	notifyAt uint64
 	armed    bool
+
+	// onBackPressure runs (under s.mu) each time Append is about to park
+	// on a full ring. A relay sets it to decline a pending kernel relay
+	// offer: the parked offerer is the consumer this Append waits for.
+	onBackPressure func()
 }
 
 func newWindowStore(chunkSize, windowChunks int, pool *chunkPool) *windowStore {
@@ -244,6 +249,9 @@ func (s *windowStore) Append(c *chunk) error {
 		if s.count < len(s.ring) {
 			break
 		}
+		if s.onBackPressure != nil {
+			s.onBackPressure()
+		}
 		s.waitLocked()
 	}
 	s.ring[s.slot(s.count)] = c
@@ -254,38 +262,49 @@ func (s *windowStore) Append(c *chunk) error {
 	return nil
 }
 
-// AppendVirtual advances the head past size bytes that were relayed through
-// the kernel (spliced) and are therefore NOT retained: base moves with head,
-// so the window over this span is empty and a successor asking for any of it
-// gets FORGET — which its recovery resolves against node 0's file store.
-// The armed readiness notify is deliberately NOT fired: the spliced span is
-// consumed by construction (the splice wrote it to the successor), so there
-// is no chunk for a scheduler worker to claim, and waking one would only
-// produce a phantom FORGET turn.
-func (s *windowStore) AppendVirtual(size uint64) error {
-	if size == 0 {
+// AppendForwarded retains c like Append, for a chunk the kernel tee relay
+// already delivered to the successor. The relay only tees once the
+// successor holds everything below the head, so head and low-water move
+// together: every
+// retained chunk is consumed, a full ring evicts its oldest slot instead of
+// back-pressuring the relay, and the window still holds the last chunks for
+// a recovering successor's replay (§III-D2). The armed readiness notify is
+// deliberately NOT fired: there is no chunk for a scheduler worker to
+// claim, and waking one would only produce an empty turn.
+func (s *windowStore) AppendForwarded(c *chunk) error {
+	if len(c.bytes()) == 0 {
+		c.release()
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.abort != nil {
+		c.release()
 		return s.abort
 	}
 	if s.ended {
+		c.release()
 		return fmt.Errorf("kascade: append after end of stream")
 	}
-	// Splice only engages with the successor fully caught up, so every
-	// retained chunk is already consumed: release them before rebasing.
-	for s.count > 0 {
+	if s.count == len(s.ring) {
 		s.evictLocked()
 	}
-	s.head += size
-	s.base = s.head
+	s.ring[s.slot(s.count)] = c
+	s.count++
+	s.head += uint64(len(c.bytes()))
 	if s.lowWater < s.head {
 		s.lowWater = s.head
 	}
 	s.wakeLocked()
 	return nil
+}
+
+// wake re-runs every parked Append, so a back-pressured one sees state
+// that changed outside the store (a relay offer posted after it parked).
+func (s *windowStore) wake() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.wakeLocked()
 }
 
 // AppendBytes copies b into a pooled chunk and appends it. Convenience for

@@ -145,6 +145,7 @@ type wire struct {
 	out  io.Writer        // conn, or a stallWriter wrapping it
 	now  func() time.Time // deadline base, injectable via Options.Clock
 	hdr  [17]byte         // scratch header buffer
+	rb   [8]byte          // scratch for fixed-size reads (a stack array escapes into io.ReadFull)
 
 	hdrs []byte   // scratch DATA headers for vectored batches (5 B each)
 	vec  [][]byte // scratch iovec: header, payload, header, payload, ...
@@ -176,19 +177,17 @@ func (w *wire) readFull(p []byte) error {
 }
 
 func (w *wire) readUint64() (uint64, error) {
-	var b [8]byte
-	if err := w.readFull(b[:]); err != nil {
+	if err := w.readFull(w.rb[:8]); err != nil {
 		return 0, err
 	}
-	return binary.BigEndian.Uint64(b[:]), nil
+	return binary.BigEndian.Uint64(w.rb[:8]), nil
 }
 
 func (w *wire) readUint32() (uint32, error) {
-	var b [4]byte
-	if err := w.readFull(b[:]); err != nil {
+	if err := w.readFull(w.rb[:4]); err != nil {
 		return 0, err
 	}
-	return binary.BigEndian.Uint32(b[:]), nil
+	return binary.BigEndian.Uint32(w.rb[:4]), nil
 }
 
 // readHello parses the payload of a HELLO frame (after its type byte).

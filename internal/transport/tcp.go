@@ -35,7 +35,7 @@ func (TCP) Dial(addr string, timeout time.Duration) (Conn, error) {
 		// bulk data; disabling Nagle keeps control latency low.
 		_ = tc.SetNoDelay(true)
 	}
-	return tcpConn{c}, nil
+	return &tcpConn{c: c}, nil
 }
 
 // errRefusedTCP lets errors.Is(err, ErrRefused) hold for TCP refusals.
@@ -52,20 +52,23 @@ func (t *tcpListener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tcpConn{c}, nil
+	return &tcpConn{c: c}, nil
 }
 
 func (t *tcpListener) Close() error { return t.l.Close() }
 func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 
-type tcpConn struct{ c net.Conn }
+type tcpConn struct {
+	c  net.Conn
+	nb net.Buffers // WriteBuffers scratch: a stack net.Buffers escapes per call
+}
 
-func (t tcpConn) Read(p []byte) (int, error) {
+func (t *tcpConn) Read(p []byte) (int, error) {
 	n, err := t.c.Read(p)
 	return n, mapTCPErr(err)
 }
 
-func (t tcpConn) Write(p []byte) (int, error) {
+func (t *tcpConn) Write(p []byte) (int, error) {
 	n, err := t.c.Write(p)
 	return n, mapTCPErr(err)
 }
@@ -74,18 +77,19 @@ func (t tcpConn) Write(p []byte) (int, error) {
 // allows it, collapsing the frame-header + payload pairs of the broadcast
 // hot path into one syscall. net.Buffers consumes its receiver, so bufs is
 // modified as documented on transport.BuffersWriter.
-func (t tcpConn) WriteBuffers(bufs [][]byte) (int64, error) {
-	nb := net.Buffers(bufs)
-	n, err := nb.WriteTo(t.c)
+func (t *tcpConn) WriteBuffers(bufs [][]byte) (int64, error) {
+	t.nb = bufs // shares bufs' backing array, so consumption shows through
+	n, err := t.nb.WriteTo(t.c)
+	t.nb = nil
 	return n, mapTCPErr(err)
 }
 
-func (t tcpConn) Close() error                        { return t.c.Close() }
-func (t tcpConn) SetDeadline(tm time.Time) error      { return t.c.SetDeadline(tm) }
-func (t tcpConn) SetReadDeadline(tm time.Time) error  { return t.c.SetReadDeadline(tm) }
-func (t tcpConn) SetWriteDeadline(tm time.Time) error { return t.c.SetWriteDeadline(tm) }
-func (t tcpConn) LocalAddr() string                   { return t.c.LocalAddr().String() }
-func (t tcpConn) RemoteAddr() string                  { return t.c.RemoteAddr().String() }
+func (t *tcpConn) Close() error                        { return t.c.Close() }
+func (t *tcpConn) SetDeadline(tm time.Time) error      { return t.c.SetDeadline(tm) }
+func (t *tcpConn) SetReadDeadline(tm time.Time) error  { return t.c.SetReadDeadline(tm) }
+func (t *tcpConn) SetWriteDeadline(tm time.Time) error { return t.c.SetWriteDeadline(tm) }
+func (t *tcpConn) LocalAddr() string                   { return t.c.LocalAddr().String() }
+func (t *tcpConn) RemoteAddr() string                  { return t.c.RemoteAddr().String() }
 
 // mapTCPErr folds the platform error zoo into the transport sentinels while
 // preserving the original error text via wrapping.
