@@ -9,9 +9,11 @@
 //	kascade-bench -engine -json BENCH_1.json   # engine microbenchmarks
 //	kascade-bench -chaos -seed 1 -json CHAOS_1.json   # recovery benchmarks
 //
-// Absolute throughputs come from a calibrated simulator (see DESIGN.md §2);
-// the shapes — who wins, by what factor, where the crossovers are — are the
-// reproduction targets, recorded against the paper in EXPERIMENTS.md. The
+// Absolute throughputs come from a calibrated simulator (the calibration
+// constants are in internal/experiments/experiments.go); the shapes — who
+// wins, by what factor, where the crossovers are — are the reproduction
+// targets, stated against the paper in each figure's doc comment in
+// internal/experiments/figures.go. The
 // -engine mode instead runs real broadcasts over the in-memory fabric
 // (the same harness as `go test -bench Engine`) and writes a
 // machine-readable JSON file so successive PRs can track the hot-path
@@ -51,32 +53,9 @@ func runEngineBench(path string) error {
 	specs := benchkit.EngineBenchmarks()
 	out := make(map[string]engineResult, len(specs))
 	for _, spec := range specs {
-		spec := spec
-		var broadcastErr error
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(spec.Size)
-			for i := 0; i < b.N; i++ {
-				if _, err := spec.Broadcast(); err != nil {
-					broadcastErr = err
-					b.Fatal(err)
-				}
-			}
-		})
-		// testing.Benchmark swallows b.Fatal into a zero result; surface
-		// it instead of writing zeroed rows with a success exit code.
-		if broadcastErr != nil {
-			return fmt.Errorf("%s: %w", spec.Name, broadcastErr)
-		}
-		if r.N == 0 || r.NsPerOp() <= 0 {
-			return fmt.Errorf("%s: benchmark produced no measurements", spec.Name)
-		}
-		res := engineResult{
-			MBPerSec:    float64(spec.Size) / 1e6 / (float64(r.NsPerOp()) / 1e9),
-			NsPerOp:     r.NsPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Iterations:  r.N,
+		res, err := benchEngineSpec(spec)
+		if err != nil {
+			return err
 		}
 		out[spec.Name] = res
 		fmt.Printf("%-32s %8.2f MB/s %10d ns/op %8d allocs/op\n",
@@ -92,6 +71,37 @@ func runEngineBench(path string) error {
 	}
 	fmt.Printf("wrote %s\n", path)
 	return nil
+}
+
+// benchEngineSpec measures one engine benchmark row. A failed broadcast
+// ends the run with b.FailNow and comes back as the error: b.Fatal would
+// log through the benchmark's output decorator, which testing.Benchmark
+// leaves unset outside `go test`, and crash the command instead.
+func benchEngineSpec(spec benchkit.Spec) (engineResult, error) {
+	var broadcastErr error
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(spec.Size)
+		for i := 0; i < b.N; i++ {
+			if _, err := spec.Broadcast(); err != nil {
+				broadcastErr = err
+				b.FailNow()
+			}
+		}
+	})
+	if broadcastErr != nil {
+		return engineResult{}, fmt.Errorf("%s: %w", spec.Name, broadcastErr)
+	}
+	if r.N == 0 || r.NsPerOp() <= 0 {
+		return engineResult{}, fmt.Errorf("%s: benchmark produced no measurements", spec.Name)
+	}
+	return engineResult{
+		MBPerSec:    float64(spec.Size) / 1e6 / (float64(r.NsPerOp()) / 1e9),
+		NsPerOp:     r.NsPerOp(),
+		AllocsPerOp: r.AllocsPerOp(),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+		Iterations:  r.N,
+	}, nil
 }
 
 // muxRow is one row of the session-multiplexing benchmark: aggregate and

@@ -49,8 +49,9 @@ func (a *bufArena) put(size int, b []byte) {
 const poolSlack = 8
 
 type chunkPool struct {
-	size int         // payload capacity of every pooled buffer
-	free chan *chunk // parked, zero-ref chunks
+	size int          // payload capacity of every pooled buffer
+	free chan *chunk  // parked, zero-ref chunks
+	made atomic.Int64 // buffers taken from the arena (tests, diagnostics)
 }
 
 func newChunkPool(size, capacity int) *chunkPool {
@@ -74,6 +75,7 @@ func (p *chunkPool) get(n int) *chunk {
 	case c = <-p.free:
 	default:
 		c = &chunk{pool: p, buf: arena.get(p.size)}
+		p.made.Add(1)
 	}
 	c.n = n
 	c.refs.Store(1)

@@ -323,11 +323,12 @@ func (n *Node) nextBatch(off uint64, scratch []*chunk) ([]*chunk, int, error) {
 // finishAsTail closes the pipeline ring: the tail delivers the aggregated
 // report to node 0 and unblocks the PASSED chain.
 func (n *Node) finishAsTail(ctx context.Context) error {
+	// No successor will ever replay from this node's window: drop it
+	// before the node reads as the tail.
+	n.st.ReleaseAll()
 	n.mu.Lock()
 	n.tail = true
 	n.mu.Unlock()
-	// No successor will ever replay from this node's window.
-	n.st.ReleaseAll()
 
 	rep, err := n.awaitReport(ctx)
 	if err != nil {

@@ -16,9 +16,14 @@ import (
 type Options struct {
 	// ChunkSize is the DATA chunk granularity in bytes.
 	ChunkSize int
-	// WindowChunks is how many recent chunks each node retains in memory
-	// for replaying to a recovering successor. It also bounds how far a
-	// node may run ahead of its successor (back-pressure).
+	// WindowChunks is how many recent chunks a node with successors
+	// retains in memory for replaying to a recovering one. It also bounds
+	// how far a node may run ahead of its successor (back-pressure).
+	// Nodes nobody can replay from keep only the chunk they just
+	// ingested: static tree leaves, the chain tail, UDP receivers, and a
+	// relay from the moment all its successors died. Node 0 and every
+	// node of a re-ranking tree (a view leaf may be promoted) keep the
+	// full window.
 	WindowChunks int
 
 	// MaxBatchBytes caps how many payload bytes the downstream sender
@@ -33,8 +38,12 @@ type Options struct {
 	// weights; see ClassBulk/ClassInteractive). Empty behaves as weight 1.
 	// It travels with the plan so every host schedules the session alike.
 	Class string `json:"Class,omitempty"`
-	// PoolChunks sizes the free list of the per-node chunk buffer pool.
-	// Defaults to WindowChunks plus a small slack for frames in flight.
+	// PoolChunks sizes the free list of the per-node chunk buffer pool,
+	// which is also the node's reservation against its engine's
+	// MemBudget. Defaults to WindowChunks plus a slack of 8 chunks for
+	// frames in flight. A static tree leaf or chain tail on the stream
+	// plane asks for at most the slack, and shrinks a larger PREPARE
+	// grant to it when it registers.
 	PoolChunks int
 
 	// WriteStallTimeout is how long a write to the successor may stall

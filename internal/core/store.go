@@ -88,8 +88,9 @@ type store interface {
 	// takes over at an older offset, protecting its unread chunks from
 	// eviction.
 	ResetLowWater(off uint64)
-	// ReleaseAll lifts back-pressure entirely (the node became the
-	// pipeline tail and has no successor to replay for).
+	// ReleaseAll lifts back-pressure entirely and drops the retained
+	// window (the node became the pipeline tail and has no successor to
+	// replay for).
 	ReleaseAll()
 	// Head returns the exclusive upper bound of available data.
 	Head() uint64
@@ -129,7 +130,8 @@ type windowStore struct {
 	base     uint64 // offset of the oldest retained chunk
 	head     uint64 // next append offset (== total bytes received)
 	lowWater uint64 // bytes below this are consumed downstream
-	released bool   // no successor: evict freely, never block appends
+	released bool   // no successor: keep only the newest chunk, never block appends
+	peak     int    // most slots ever occupied at once (tests, diagnostics)
 
 	ended bool
 	end   uint64
@@ -211,11 +213,35 @@ func (s *windowStore) evictLocked() {
 	c.release()
 }
 
+// evictAllLocked empties the ring. Caller holds s.mu.
+func (s *windowStore) evictAllLocked() {
+	for s.count > 0 {
+		s.evictLocked()
+	}
+}
+
+// pushLocked stores c in the next free slot. On a released store every
+// older chunk goes first: nobody replays from it, so it holds only the
+// chunk just ingested, and the pool cycles the same few cache-hot buffers
+// instead of the whole window. Caller holds s.mu with a free slot (or a
+// released store).
+func (s *windowStore) pushLocked(c *chunk) {
+	if s.released {
+		s.evictAllLocked()
+	}
+	s.ring[s.slot(s.count)] = c
+	s.count++
+	if s.count > s.peak {
+		s.peak = s.count
+	}
+	s.head += uint64(len(c.bytes()))
+}
+
 // Append adds the next chunk (all chunks are ChunkSize long except the
 // final one), taking ownership of the caller's reference — the payload is
 // not copied. It blocks while the ring is full of unconsumed data; on a
-// released store (pipeline tail) the oldest chunk is dropped instead, so
-// the tail's memory stays bounded by the window.
+// released store (pipeline tail) every older chunk is dropped instead, so
+// the tail holds one chunk, not a window.
 func (s *windowStore) Append(c *chunk) error {
 	if len(c.bytes()) == 0 {
 		c.release()
@@ -232,16 +258,15 @@ func (s *windowStore) Append(c *chunk) error {
 			c.release()
 			return fmt.Errorf("kascade: append after end of stream")
 		}
-		if s.count < len(s.ring) {
+		if s.released || s.count < len(s.ring) {
 			break
 		}
 		// Make room by evicting front chunks already consumed by the
 		// successor. Unconsumed chunks are never dropped — the appender
-		// waits instead, which is the pipeline's back-pressure — except
-		// on a released store, which has nobody left to replay for.
+		// waits instead, which is the pipeline's back-pressure.
 		for s.count == len(s.ring) {
 			oldest := s.ring[s.start]
-			if !s.released && s.base+uint64(len(oldest.bytes())) > s.lowWater {
+			if s.base+uint64(len(oldest.bytes())) > s.lowWater {
 				break
 			}
 			s.evictLocked()
@@ -254,9 +279,7 @@ func (s *windowStore) Append(c *chunk) error {
 		}
 		s.waitLocked()
 	}
-	s.ring[s.slot(s.count)] = c
-	s.count++
-	s.head += uint64(len(c.bytes()))
+	s.pushLocked(c)
 	s.wakeLocked()
 	s.maybeNotifyLocked()
 	return nil
@@ -289,9 +312,7 @@ func (s *windowStore) AppendForwarded(c *chunk) error {
 	if s.count == len(s.ring) {
 		s.evictLocked()
 	}
-	s.ring[s.slot(s.count)] = c
-	s.count++
-	s.head += uint64(len(c.bytes()))
+	s.pushLocked(c)
 	if s.lowWater < s.head {
 		s.lowWater = s.head
 	}
@@ -444,10 +465,15 @@ func (s *windowStore) ResetLowWater(off uint64) {
 	s.wakeLocked()
 }
 
+// ReleaseAll drops the whole ring at once: a node that turns tail
+// mid-broadcast frees its window now, not one Append per slot later. A
+// chunk still being written to the sink stays alive through the sink's
+// own reference.
 func (s *windowStore) ReleaseAll() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.released = true
+	s.evictAllLocked()
 	s.wakeLocked()
 }
 
@@ -488,9 +514,7 @@ func (s *windowStore) recycle() {
 	if s.abort == nil {
 		s.abort = errRecycled
 	}
-	for s.count > 0 {
-		s.evictLocked()
-	}
+	s.evictAllLocked()
 	s.wakeLocked()
 	s.mu.Unlock()
 }

@@ -104,6 +104,83 @@ func TestWindowStoreReleaseAllLiftsBackPressure(t *testing.T) {
 	}
 }
 
+// held reports the occupied slots and their high-water mark.
+func (s *windowStore) held() (count, peak int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.count, s.peak
+}
+
+// TestReleasedWindowStoreHoldsOneChunk: a released store (no successor)
+// keeps only the chunk just appended, even with no consumer at all, and
+// the pool cycles two buffers instead of the whole window.
+func TestReleasedWindowStoreHoldsOneChunk(t *testing.T) {
+	pool := newChunkPool(4, 8+poolSlack)
+	s := newWindowStore(4, 8, pool)
+	s.ReleaseAll()
+	for i := 0; i < 40; i++ {
+		if err := s.AppendBytes([]byte{byte(i), 0, 0, 0}); err != nil {
+			t.Fatal(err)
+		}
+		if count, _ := s.held(); count > 1 {
+			t.Fatalf("append %d: released store holds %d chunks", i, count)
+		}
+	}
+	if _, peak := s.held(); peak != 1 {
+		t.Fatalf("peak occupancy %d, want 1", peak)
+	}
+	if made := pool.made.Load(); made > 2 {
+		t.Fatalf("pool made %d buffers for a one-chunk store, want <= 2", made)
+	}
+	if c, err := s.ChunkAt(39 * 4); err != nil || c.bytes()[0] != 39 {
+		t.Fatalf("newest chunk: %v", err)
+	} else {
+		c.release()
+	}
+	var fe *ForgetError
+	if _, err := s.ChunkAt(38 * 4); !errors.As(err, &fe) || fe.Base != 39*4 {
+		t.Fatalf("older chunk: want ForgetError{%d}, got %v", 39*4, err)
+	}
+}
+
+// TestWindowStoreReleaseAllFreesFullRing: a full, unconsumed ring is freed
+// the moment the node turns tail, not one Append per slot later. A chunk
+// someone still references (the sink's copy) survives the drop.
+func TestWindowStoreReleaseAllFreesFullRing(t *testing.T) {
+	pool := newChunkPool(4, 4+poolSlack)
+	s := newWindowStore(4, 4, pool)
+	for i := 0; i < 4; i++ {
+		if err := s.AppendBytes([]byte{byte(i), 0, 0, 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sink, err := s.ChunkAt(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := len(pool.free)
+	s.ReleaseAll()
+	if count, _ := s.held(); count != 0 {
+		t.Fatalf("ReleaseAll left %d chunks in the ring", count)
+	}
+	if got := len(pool.free) - parked; got != 3 {
+		t.Fatalf("ReleaseAll parked %d buffers, want 3 (the fourth is referenced)", got)
+	}
+	if s.Base() != 16 || s.Head() != 16 {
+		t.Fatalf("base %d head %d after release, want 16/16", s.Base(), s.Head())
+	}
+	if sink.bytes()[0] != 3 {
+		t.Fatalf("referenced chunk recycled: %v", sink.bytes())
+	}
+	sink.release()
+	if err := s.AppendBytes([]byte{4, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if count, _ := s.held(); count != 1 {
+		t.Fatalf("released store holds %d chunks after append", count)
+	}
+}
+
 func TestWindowStoreResetLowWaterProtectsReplay(t *testing.T) {
 	s := newWindowStore(4, 4, nil) // 4 slots
 	for i := 0; i < 4; i++ {

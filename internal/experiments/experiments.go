@@ -4,8 +4,9 @@
 // internal/topology, internal/distem).
 //
 // Absolute numbers are calibrated to the paper's measured plateaus (see the
-// constants below and EXPERIMENTS.md); the point of each experiment is the
-// *shape*: who wins, by what factor, and where the crossovers are.
+// constants below); the point of each experiment is the *shape*: who wins,
+// by what factor, and where the crossovers are. Each figure's doc comment
+// in figures.go states the shape it reproduces.
 //
 // All experiments are deterministic given Config.Seed: run-to-run variance
 // (the paper's 95% confidence intervals) comes from seeded jitter applied
