@@ -49,9 +49,8 @@ func (a *bufArena) put(size int, b []byte) {
 const poolSlack = 8
 
 type chunkPool struct {
-	size int          // payload capacity of every pooled buffer
-	free chan *chunk  // parked, zero-ref chunks
-	made atomic.Int64 // buffers taken from the arena (tests, diagnostics)
+	size int         // payload capacity of every pooled buffer
+	free chan *chunk // parked, zero-ref chunks
 }
 
 func newChunkPool(size, capacity int) *chunkPool {
@@ -75,7 +74,6 @@ func (p *chunkPool) get(n int) *chunk {
 	case c = <-p.free:
 	default:
 		c = &chunk{pool: p, buf: arena.get(p.size)}
-		p.made.Add(1)
 	}
 	c.n = n
 	c.refs.Store(1)

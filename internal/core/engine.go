@@ -100,12 +100,10 @@ type EngineOptions struct {
 	// across all sessions. A session whose reservation does not fit is no
 	// longer silently granted a floor-sized pool: Admit queues or refuses
 	// it, and a direct register without prior admission is refused with a
-	// typed *AdmissionError. Defaults to 256 MiB. A session reserves
-	// ChunkSize × PoolChunks (72 MiB at the 1 MiB / 64-chunk defaults),
-	// except a static tree leaf or chain tail, which reserves 8 chunks
-	// (8 MiB) — so a leaf agent carries 32 sessions at the default
-	// budget, not 3. PREPARE admission reserves the full pool before the
-	// node knows its role; the leaf returns the excess when it registers.
+	// typed *AdmissionError. Defaults to 256 MiB. Every session reserves
+	// ChunkSize × PoolChunks whatever its role (72 MiB at the 1 MiB /
+	// 64-chunk defaults), so an agent carries 3 default sessions; a leaf
+	// reserves as much as a relay but touches only a few of its buffers.
 	MemBudget int64
 	// MaxSessions caps the number of concurrently admitted sessions
 	// (registered plus admitted-but-not-yet-started). 0 means no cap
@@ -503,27 +501,12 @@ func (e *Engine) Stats() EngineStats {
 // first and then calls attach, so a connection can never be routed into a
 // half-constructed node. The returned pool stays valid until unregister
 // releases the grant.
-//
-// poolChunks is what the node asks for. An adopted grant larger than that
-// (a leaf admitted at PREPARE for a full window it will never keep) is
-// shrunk to it, and the excess goes straight to the admission queue.
 func (e *Engine) register(sid SessionID, h connHandler, chunkSize, poolChunks int, class string) (*chunkPool, error) {
 	class = e.canonicalClass(class)
 	e.mu.Lock()
-	pool, resolved, err := e.registerLocked(sid, h, chunkSize, poolChunks, class)
-	e.mu.Unlock()
-	closeTickets(resolved)
-	return pool, err
-}
-
-// registerLocked is register under e.mu; it returns the queued tickets a
-// shrunk grant admitted, for the caller to close after unlock.
-func (e *Engine) registerLocked(sid SessionID, h connHandler, chunkSize, poolChunks int, class string) (*chunkPool, []*Ticket, error) {
+	defer e.mu.Unlock()
 	if e.closed {
-		return nil, nil, fmt.Errorf("kascade: engine is closed")
-	}
-	if poolChunks < 1 {
-		poolChunks = 1
+		return nil, fmt.Errorf("kascade: engine is closed")
 	}
 	if r, ok := e.reserved[sid]; ok {
 		if r.owner == nil {
@@ -534,22 +517,14 @@ func (e *Engine) registerLocked(sid SessionID, h connHandler, chunkSize, poolChu
 			if capacity < 1 {
 				capacity = 1
 			}
-			var resolved []*Ticket
-			if poolChunks < capacity {
-				capacity = poolChunks
-				want := int64(chunkSize) * int64(capacity)
-				e.used -= r.bytes - want
-				r.bytes = want
-				resolved = e.pumpAdmitQueueLocked()
-			}
-			return newChunkPool(chunkSize, capacity), resolved, nil
+			return newChunkPool(chunkSize, capacity), nil
 		}
 		if sid == 0 {
 			// Two concurrent v1 (pre-session-ID) broadcasts: the shared
 			// data port can only carry one default session at a time.
-			return nil, nil, fmt.Errorf("kascade: a pre-session-ID broadcast is already in flight on this engine (v1 senders are limited to one at a time)")
+			return nil, fmt.Errorf("kascade: a pre-session-ID broadcast is already in flight on this engine (v1 senders are limited to one at a time)")
 		}
-		return nil, nil, fmt.Errorf("kascade: session %d already registered on this engine", sid)
+		return nil, fmt.Errorf("kascade: session %d already registered on this engine", sid)
 	}
 
 	// Implicit admission: accept immediately or refuse — never the silent
@@ -558,7 +533,11 @@ func (e *Engine) registerLocked(sid SessionID, h connHandler, chunkSize, poolChu
 	// strictly FIFO; a register may not take the bytes the queue head is
 	// waiting for). The pool parks exactly the debited capacity: budget
 	// accounting and parkable bytes can never diverge.
-	want := int64(chunkSize) * int64(poolChunks)
+	capacity := poolChunks
+	if capacity < 1 {
+		capacity = 1
+	}
+	want := int64(chunkSize) * int64(capacity)
 	if len(e.admitQ) > 0 || !e.fitsLocked(want) {
 		e.refusedTotal++
 		reason := fmt.Sprintf("pool reservation of %d B does not fit (%d of %d B budget in use across %d sessions)",
@@ -569,13 +548,13 @@ func (e *Engine) registerLocked(sid SessionID, h connHandler, chunkSize, poolChu
 		case e.opts.MaxSessions > 0 && len(e.reserved) >= e.opts.MaxSessions:
 			reason = fmt.Sprintf("engine at its session cap (%d)", e.opts.MaxSessions)
 		}
-		return nil, nil, &AdmissionError{Session: sid, Reason: reason}
+		return nil, &AdmissionError{Session: sid, Reason: reason}
 	}
 	e.reserved[sid] = &grant{owner: h, bytes: want, class: class}
 	e.used += want
 	e.admittedTotal++
 	e.classCounterLocked(class).admitted++
-	return newChunkPool(chunkSize, poolChunks), nil, nil
+	return newChunkPool(chunkSize, capacity), nil
 }
 
 // classCounterLocked returns (allocating on demand) the admission counter

@@ -293,21 +293,14 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 // last: the engine must never route a connection (or report a listener
 // death) into a node whose pool or store is still nil.
 func (n *Node) prepare() error {
-	leaf := n.fixedLeaf()
-	poolChunks := n.opts.PoolChunks
-	if leaf && poolChunks > poolSlack {
-		// Nothing to replay for: the pool only cycles the chunk being
-		// read and the one the sink is writing.
-		poolChunks = poolSlack
-	}
 	if n.cfg.Engine != nil {
-		pool, err := n.cfg.Engine.register(n.sid, n, n.opts.ChunkSize, poolChunks, n.opts.Class)
+		pool, err := n.cfg.Engine.register(n.sid, n, n.opts.ChunkSize, n.opts.PoolChunks, n.opts.Class)
 		if err != nil {
 			return err
 		}
 		n.pool = pool
 	} else {
-		n.pool = newChunkPool(n.opts.ChunkSize, poolChunks)
+		n.pool = newChunkPool(n.opts.ChunkSize, n.opts.PoolChunks)
 	}
 	if n.cfg.Index == 0 && n.cfg.InputFile != nil {
 		n.st = newFileStore(n.cfg.InputFile, n.cfg.InputSize, n.opts.ChunkSize, n.pool)
@@ -323,9 +316,6 @@ func (n *Node) prepare() error {
 			// flowing through the replay window.
 			n.ws.rebase(g.Head)
 		}
-		if leaf {
-			n.ws.ReleaseAll()
-		}
 	}
 	if n.cfg.Engine != nil {
 		if n.treeK == 1 {
@@ -340,20 +330,6 @@ func (n *Node) prepare() error {
 		n.cfg.Engine.attach(n.sid, n)
 	}
 	return nil
-}
-
-// fixedLeaf reports whether, from the start plan alone, no successor can
-// ever replay from this node's window: a static tree leaf or the chain
-// tail on the stream plane. A failed child's subtree is re-grafted onto
-// its parent, never onto a leaf, so the role holds for the whole
-// broadcast. Node 0 serves gap fetches, re-ranking may promote a view
-// leaf, and the datagram plane reassembles out of order, so none of
-// those is fixed.
-func (n *Node) fixedLeaf() bool {
-	if n.cfg.Index == 0 || n.rerank || n.cfg.Plan.Transport == TransportUDP {
-		return false
-	}
-	return len(treeChildren(n.cfg.Index, n.treeK, len(n.cfg.Plan.Peers))) == 0
 }
 
 // detach stops the node from receiving new connections: the engine

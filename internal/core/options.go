@@ -19,11 +19,12 @@ type Options struct {
 	// WindowChunks is how many recent chunks a node with successors
 	// retains in memory for replaying to a recovering one. It also bounds
 	// how far a node may run ahead of its successor (back-pressure).
-	// Nodes nobody can replay from keep only the chunk they just
-	// ingested: static tree leaves, the chain tail, UDP receivers, and a
-	// relay from the moment all its successors died. Node 0 and every
-	// node of a re-ranking tree (a view leaf may be promoted) keep the
-	// full window.
+	// A node drops its window when it becomes the tail of its branch and
+	// from then on keeps only the chunk it just ingested: static tree
+	// leaves and the chain tail at once, UDP receivers from the start, a
+	// relay the moment all its successors died. Node 0 keeps its window
+	// throughout, and a re-ranking node keeps it until its manager ends,
+	// since a view leaf may be promoted.
 	WindowChunks int
 
 	// MaxBatchBytes caps how many payload bytes the downstream sender
@@ -41,9 +42,9 @@ type Options struct {
 	// PoolChunks sizes the free list of the per-node chunk buffer pool,
 	// which is also the node's reservation against its engine's
 	// MemBudget. Defaults to WindowChunks plus a slack of 8 chunks for
-	// frames in flight. A static tree leaf or chain tail on the stream
-	// plane asks for at most the slack, and shrinks a larger PREPARE
-	// grant to it when it registers.
+	// frames in flight. Every node reserves the full pool, leaves
+	// included: an agent is admitted at PREPARE, before START tells it
+	// its role. A leaf's pool then cycles only a few buffers.
 	PoolChunks int
 
 	// WriteStallTimeout is how long a write to the successor may stall

@@ -131,7 +131,6 @@ type windowStore struct {
 	head     uint64 // next append offset (== total bytes received)
 	lowWater uint64 // bytes below this are consumed downstream
 	released bool   // no successor: keep only the newest chunk, never block appends
-	peak     int    // most slots ever occupied at once (tests, diagnostics)
 
 	ended bool
 	end   uint64
@@ -231,9 +230,6 @@ func (s *windowStore) pushLocked(c *chunk) {
 	}
 	s.ring[s.slot(s.count)] = c
 	s.count++
-	if s.count > s.peak {
-		s.peak = s.count
-	}
 	s.head += uint64(len(c.bytes()))
 }
 
